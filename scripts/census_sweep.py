@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from equidist import BudgetError, line_census, neighbor_step, resolve_alpha
+from equidist import BudgetError, alpha_from_specs, line_census, neighbor_step
 
 
 def main(argv=None) -> int:
@@ -31,7 +31,7 @@ def main(argv=None) -> int:
     ap.add_argument("--nmax", type=int, default=1024)
     args = ap.parse_args(argv)
 
-    alpha = resolve_alpha(args.alpha, args.d)
+    alpha = alpha_from_specs([args.alpha], args.d)
     print(f"alpha dim {alpha.dim}, x = {args.x}")
     print(f"{'N':>6} {'lines':>7} {'pairs':>7} {'big':>7} "
           f"{'max/line':>8} {'viol':>5}  step")

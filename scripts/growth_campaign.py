@@ -22,15 +22,7 @@ import pathlib
 import sys
 
 from equidist import GrowthConfig, growth_csv, growth_trend, run_growth_experiment
-
-
-def doubling_schedule(nmin: int, nmax: int) -> tuple:
-    ns = []
-    n = nmin
-    while n <= nmax:
-        ns.append(n)
-        n *= 2
-    return tuple(ns)
+from equidist.experiments import doubling_schedule
 
 
 def per_seed_growth(records, lo: int, hi: int) -> dict:
@@ -60,7 +52,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     dims = args.d or [1, 2]
-    schedule = doubling_schedule(args.nmin, args.nmax)
+    try:
+        schedule = doubling_schedule(args.nmin, args.nmax)
+    except ValueError as exc:
+        ap.error(str(exc))
     if len(schedule) < 3:
         ap.error("schedule needs at least three doubling steps")
     outdir = pathlib.Path(args.outdir)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from equidist import cross_validate, resolve_alpha
+from equidist import alpha_from_specs, cross_validate
 
 
 def main(argv=None) -> int:
@@ -34,7 +34,7 @@ def main(argv=None) -> int:
     if args.points < 1:
         ap.error("need at least one grid point")
 
-    alpha = resolve_alpha(args.alpha, args.d)
+    alpha = alpha_from_specs([args.alpha], args.d)
     # offset grid: keeps x away from 0 and 1 where the discrepancy is pinned
     xs = [(j + 0.5) / args.points for j in range(args.points)]
 

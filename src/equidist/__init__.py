@@ -22,13 +22,11 @@ from .errors import BudgetError
 from .experiments import (CrossReport, CrossRow, GrowthConfig, GrowthRecord,
                           PhiSpec, cross_validate, growth_csv,
                           growth_normalizer, growth_trend, is_degenerate,
-                          phi_eval, resolve_alpha, run_growth_experiment)
-from .fourier import (ComponentReport, FourierParams, PairCancellationReport,
-                      PairRecord, all_masks, component_sum, delta_n,
-                      f_term, fejer, fourier_tail_bound, g_factor,
-                      index_set_membership, lambda_form,
-                      pair_cancellation_report, recombine,
-                      series_coefficient)
+                          phi_eval, run_growth_experiment)
+from .fourier import (ComponentReport, FourierParams, all_masks,
+                      component_sum, delta_n, f_term, fejer,
+                      fourier_tail_bound, g_factor, index_set_membership,
+                      lambda_form, recombine, series_coefficient)
 from .lattice import (DEFAULT_POINT_BUDGET, PointSet, WindowShift,
                       count_in_interval, dump_sorted, generate_points,
                       load_dump)
@@ -44,7 +42,7 @@ __all__ = [
     "BudgetError", "CFExpansion", "ComponentReport", "CrossReport",
     "CrossRow", "DEFAULT_POINT_BUDGET", "DiscrepancyResult", "FourierParams",
     "GrowthConfig", "GrowthRecord", "LineCensus", "LineRecord",
-    "PairCancellationReport", "PairRecord", "PhiSpec", "PointSet",
+    "PhiSpec", "PointSet",
     "SIDE_LEFT", "SIDE_RIGHT", "SignedResidue", "SpectrumRecord", "UnitFrac",
     "WindowShift", "all_masks", "alpha_from_specs", "alpha_from_values",
     "averaged_discrepancy_direct", "box_count_recheck", "box_counts",
@@ -56,8 +54,8 @@ __all__ = [
     "growth_csv", "growth_normalizer", "growth_trend", "index_set_membership",
     "is_degenerate", "lambda_form", "line_census", "load_dump",
     "max_discrepancy", "min_distance_scan", "nearest_residue",
-    "neighbor_step", "oscillated_discrepancy", "pair_cancellation_report",
-    "phi_eval", "product_scan", "random_alpha", "recombine", "resolve_alpha",
+    "neighbor_step", "oscillated_discrepancy",
+    "phi_eval", "product_scan", "random_alpha", "recombine",
     "run_growth_experiment", "series_coefficient", "small_divisor_product",
     "spectrum_check", "spectrum_scan", "validate_bucket",
 ]

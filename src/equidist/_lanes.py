@@ -6,11 +6,19 @@ limbs so every partial product fits uint64; addition propagates one carry.
 Everything here is exact; only the float conversions round, and they use
 the same two-step formula as unitfrac.raw_to_float so scalar and vector
 paths produce bit-identical floats.
+
+This module also owns the one block scan over n = lo..hi: it tiles the
+range in BLOCK-sized pieces, forms n * a_i on lanes and takes nearest
+residues.  residue_blocks yields the signed residues, product_blocks the
+products n |r_1| ... |r_d|; both refuse a range of SCAN_BUDGET values or
+more before the first block.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import BudgetError
 
 MASK64 = (1 << 64) - 1
 MASK128 = (1 << 128) - 1
@@ -22,6 +30,10 @@ _HI_HALF = np.uint64(1 << 63)
 
 _INV64 = 2.0 ** -64
 _INV128 = 2.0 ** -128
+
+# read at call time, so a test can shrink the tile to cross block edges
+BLOCK = 1 << 20
+SCAN_BUDGET = 10 ** 9
 
 
 def split_raw(raw: int):
@@ -81,28 +93,70 @@ def lanes_to_float(hi, lo):
     return hi.astype(np.float64) * _INV64 + lo.astype(np.float64) * _INV128
 
 
-def residue_lanes(hi, lo):
-    """Signed residues in [-1/2, 1/2] with the tie at 1/2 kept positive.
+def nearest_lanes(hi, lo):
+    """Distance to the nearest integer and the sign of the residue.
 
-    Returns (res, wrapped): res[i] = sign * raw_to_float(|num|) where num is
-    the exact signed numerator, wrapped[i] is True where the nearest integer
-    is floor + 1 (i.e. the residue is negative).
+    Returns (mag, neg): mag[i] = raw_to_float(min(raw, 2**128 - raw)) is
+    ||raw/2**128||, neg[i] is True where the nearest integer is floor + 1
+    (the residue is -mag).  The tie at 1/2 is kept positive.
     """
     neg = (hi > _HI_HALF) | ((hi == _HI_HALF) & (lo > _U0))
     borrow = (lo != _U0).astype(np.uint64)
     chi = np.where(neg, _U0 - hi - borrow, hi)
     clo = np.where(neg, _U0 - lo, lo)
-    mag = lanes_to_float(chi, clo)
-    return np.where(neg, -mag, mag), neg
+    return lanes_to_float(chi, clo), neg
 
 
-def dist_lanes(hi, lo):
-    """||raw/2**128|| as floats: raw_to_float(min(raw, 2**128 - raw))."""
-    neg = (hi > _HI_HALF) | ((hi == _HI_HALF) & (lo > _U0))
-    borrow = (lo != _U0).astype(np.uint64)
-    chi = np.where(neg, _U0 - hi - borrow, hi)
-    clo = np.where(neg, _U0 - lo, lo)
-    return lanes_to_float(chi, clo)
+def check_scan_budget(count: int):
+    """Refuse a scan over count values of n before any work is done."""
+    if count >= SCAN_BUDGET:
+        raise BudgetError(
+            f"scan over {count} values of n exceeds the budget of "
+            f"{SCAN_BUDGET - 1}")
+
+
+def _tiles(lo: int, hi: int):
+    check_scan_budget(hi + 1 - lo)
+    for start in range(lo, hi + 1, BLOCK):
+        yield start, min(BLOCK, hi + 1 - start)
+
+
+def residue_blocks(raws, lo: int, hi: int):
+    """Signed nearest residues of n * a_i for n = lo..hi, block by block.
+
+    Yields (start, res) with res of shape (count, len(raws)) holding the
+    canonical signed-residue floats (tie at +1/2) of n = start + row.
+    """
+    for start, count in _tiles(lo, hi):
+        res = np.empty((count, len(raws)), dtype=np.float64)
+        for i, raw in enumerate(raws):
+            bhi, blo = mul_block(raw, start, count)
+            mag, neg = nearest_lanes(bhi, blo)
+            res[:, i] = np.where(neg, -mag, mag)
+        # free the float temporaries: the caller's work on the block sets
+        # the peak memory of every consumer
+        del mag, neg
+        yield start, res
+
+
+def product_blocks(raws, lo: int, hi: int):
+    """n and n * ||n a_1|| * ... * ||n a_d|| for n = lo..hi, block by block.
+
+    Yields (start, nf, prod) as float views into two buffers that the next
+    block overwrites; the product is taken left to right from n.  The last
+    factor's lanes stay bound while the caller works on the block: freeing
+    them early tripled the minor page faults of a d = 2 spectrum scan.
+    """
+    nf = np.empty(min(BLOCK, max(hi + 1 - lo, 0)), dtype=np.float64)
+    prod = np.empty_like(nf)
+    for start, count in _tiles(lo, hi):
+        n, p = nf[:count], prod[:count]
+        n[:] = np.arange(start, start + count, dtype=np.float64)
+        p[:] = n
+        for raw in raws:
+            bhi, blo = mul_block(raw, start, count)
+            p *= nearest_lanes(bhi, blo)[0]
+        yield start, n, p
 
 
 def count_below(hi, lo, threshold: int) -> int:

@@ -30,8 +30,9 @@ from .diophantine import (BucketVec, box_counts, line_census, spectrum_check,
 from .discrepancy import (averaged_discrepancy_direct, discrepancy_at,
                           max_discrepancy)
 from .errors import BudgetError
-from .experiments import (GrowthConfig, PhiSpec, cross_validate, growth_csv,
-                          growth_trend, run_growth_experiment)
+from .experiments import (GrowthConfig, PhiSpec, cross_validate,
+                          doubling_schedule, growth_csv, growth_trend,
+                          run_growth_experiment)
 from .fourier import COMPONENTS, FourierParams, component_sum
 from .unitfrac import AlphaVec, alpha_from_specs
 
@@ -61,14 +62,9 @@ def _parse_bucket(text: str, grid: str) -> BucketVec:
 
 
 def _resolve_alpha(args) -> AlphaVec:
-    tokens = []
-    for chunk in args.alpha or []:
-        tokens.extend(t for t in chunk.split(",") if t)
-    if not tokens:
+    if not args.alpha:
         raise ValueError("need --alpha")
-    if len(tokens) == 1 and tokens[0].startswith("random:"):
-        return alpha_from_specs(tokens, args.d if args.d is not None else 1)
-    return alpha_from_specs(tokens, args.d)
+    return alpha_from_specs(args.alpha, args.d)
 
 
 def _threads(args) -> int | None:
@@ -199,17 +195,6 @@ def _cmd_census(args) -> str:
     })
 
 
-def _growth_schedule(nmin: int, nmax: int) -> tuple:
-    if nmin < 2 or nmax < nmin:
-        raise ValueError("need 2 <= nmin <= nmax")
-    schedule = []
-    n = nmin
-    while n <= nmax:
-        schedule.append(n)
-        n *= 2
-    return tuple(schedule)
-
-
 def _cmd_growth(args) -> str:
     if args.alpha and args.seeds is not None:
         raise ValueError("give either --alpha sources or --seeds, not both")
@@ -221,7 +206,7 @@ def _cmd_growth(args) -> str:
             raise ValueError("need --seeds >= 1")
         sources = tuple(f"random:{s}" for s in range(seeds))
     config = GrowthConfig(
-        d=args.d, schedule=_growth_schedule(args.nmin, args.nmax),
+        d=args.d, schedule=doubling_schedule(args.nmin, args.nmax),
         alpha_specs=sources, phi=_parse_phi(args.phi), exponent=args.exponent)
     records = run_growth_experiment(config, threads=_threads(args))
     ok, series = growth_trend(records)

@@ -22,11 +22,10 @@ import numpy as np
 
 from . import _lanes
 from .errors import BudgetError
-from .fourier import (FourierParams, _check_mask, _residue_blocks,
-                      _negated_residues, assign_buckets, delta_n, u1_limit)
+from .fourier import (FourierParams, _check_mask, _negated_residues,
+                      assign_buckets, delta_n, u1_limit)
 from .unitfrac import HALF, MOD, AlphaVec, UnitFrac, nearest_residue
 
-_BLOCK = 1 << 20
 _EDGE_GUARD = 1e-13
 
 CENSUS_MAX_DIM = 2
@@ -116,12 +115,7 @@ def product_scan(alpha: AlphaVec, lo: int, hi: int):
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
     best_n, best = lo, math.inf
-    for start in range(lo, hi + 1, _BLOCK):
-        count = min(_BLOCK, hi + 1 - start)
-        prod = np.arange(start, start + count, dtype=np.float64)
-        for comp in alpha.components:
-            bhi, blo = _lanes.mul_block(comp.raw, start, count)
-            prod *= _lanes.dist_lanes(bhi, blo)
+    for start, _, prod in _lanes.product_blocks(alpha.raws(), lo, hi):
         j = int(np.argmin(prod))
         if prod[j] < best:
             best, best_n = float(prod[j]), start + j
@@ -133,10 +127,8 @@ def min_distance_scan(a: UnitFrac, lo: int, hi: int):
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
     best_n, best = lo, math.inf
-    for start in range(lo, hi + 1, _BLOCK):
-        count = min(_BLOCK, hi + 1 - start)
-        bhi, blo = _lanes.mul_block(a.raw, start, count)
-        dist = _lanes.dist_lanes(bhi, blo)
+    for start, res in _lanes.residue_blocks((a.raw,), lo, hi):
+        dist = np.abs(res[:, 0])
         j = int(np.argmin(dist))
         if dist[j] < best:
             best, best_n = float(dist[j]), start + j
@@ -155,19 +147,12 @@ def spectrum_scan(alpha: AlphaVec, M: int, phi) -> list:
     P(n) = n prod ||n alpha_i||.  phi is any positive increasing callable
     accepting scalars or arrays; its argument is clamped below at 1 (the
     double log is negative for n < e^e).  Every scanned n falls in exactly
-    one bucket, so the counts sum to M - 1.
+    one bucket, so the counts sum to M - 1.  M = 10^9 is the largest scan
+    the budget admits.
     """
-    if M > 10 ** 9:
-        raise BudgetError(f"spectrum scan capped at M = 1e9, got {M}")
     out: dict = {}
     d = alpha.dim
-    for start in range(2, M + 1, _BLOCK):
-        count = min(_BLOCK, M + 1 - start)
-        nf = np.arange(start, start + count, dtype=np.float64)
-        prod = nf.copy()
-        for comp in alpha.components:
-            bhi, blo = _lanes.mul_block(comp.raw, start, count)
-            prod *= _lanes.dist_lanes(bhi, blo)
+    for start, nf, prod in _lanes.product_blocks(alpha.raws(), 2, M):
         if np.any(prod == 0.0):
             n_bad = start + int(np.argmax(prod == 0.0))
             raise ValueError(
@@ -301,9 +286,10 @@ def box_counts(alpha: AlphaVec, N: int, buckets: list) -> list:
         else:
             lo, hi = 2 ** b.l[0], 2 ** (b.l[0] + 1) - 1
         by_range.setdefault((lo, hi), []).append(idx)
+    # shared ranges are scanned once; refuse the total before scanning any
+    _lanes.check_scan_budget(sum(hi + 1 - lo for lo, hi in by_range))
     for (lo, hi), idxs in sorted(by_range.items()):
-        for start, res in _residue_blocks(alpha, lo, hi):
-            n1 = np.arange(start, start + res.shape[0])
+        for start, res in _lanes.residue_blocks(alpha.raws(), lo, hi):
             res_neg = _negated_residues(res)
             for idx in idxs:
                 b = buckets[idx]
@@ -508,7 +494,7 @@ def line_census(alpha: AlphaVec, x, N: int,
     _, hi = _n1_range_geometric(q, l1_max)
     step = neighbor_step(N, d)
     stats: dict = {}
-    for start, res in _residue_blocks(alpha, 1, hi):
+    for start, res in _lanes.residue_blocks(alpha.raws(), 1, hi):
         n1f = np.arange(start, start + res.shape[0], dtype=np.float64)
         nonzero = ~np.any(res == 0.0, axis=1)
         for sign in (1.0, -1.0):

@@ -88,12 +88,16 @@ def is_degenerate(alpha: AlphaVec, N: int) -> bool:
     return any(degenerate_order(c.raw) <= N for c in alpha.components)
 
 
-def resolve_alpha(spec: str, d: int) -> AlphaVec:
-    """CLI-style alpha source: 'random:<seed>' or comma-joined literals."""
-    spec = spec.strip()
-    if spec.startswith("random:"):
-        return alpha_from_specs([spec], d)
-    return alpha_from_specs([t for t in spec.split(",") if t], d)
+def doubling_schedule(nmin: int, nmax: int) -> tuple:
+    """The growth schedule nmin, 2 nmin, 4 nmin, ... up to nmax."""
+    if nmin < 2 or nmax < nmin:
+        raise ValueError("need 2 <= nmin <= nmax")
+    schedule = []
+    n = nmin
+    while n <= nmax:
+        schedule.append(n)
+        n *= 2
+    return tuple(schedule)
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ def run_growth_experiment(config: GrowthConfig, threads: int | None = None) -> l
 
     def worker(task):
         spec, N = task
-        alpha = resolve_alpha(spec, config.d)
+        alpha = alpha_from_specs([spec], config.d)
         t0 = time.perf_counter()
         delta = max_discrepancy(alpha, N).delta
         wall_ms = (time.perf_counter() - t0) * 1e3

@@ -65,7 +65,6 @@ TWO_PI = 2.0 * math.pi
 
 COMPONENTS = ("dbar", "dbar1", "dbar2", "dbar3", "dbar4", "dbar5", "dbar6")
 
-_BLOCK = 1 << 20
 _GUARD = 2.0 ** -33
 
 
@@ -321,11 +320,7 @@ def fourier_tail_bound(N: int, d: int, cutoff: int, window: int) -> float:
     p_axis = N + 0.2
     pi3 = math.pi ** 3
     tail_n1 = N ** 4 * p_axis ** d / (4.0 * pi3 * cutoff * cutoff)
-    rho = math.ceil(window / 2) - 0.5
-    per_axis = (1.0 / rho ** 3 + 0.5 / rho ** 2) / (2.0 * pi3)
-    w_mass = (2.0 / math.pi) * (1.0 + 2.0 * math.log(N)) + 0.01
-    tail_window = d * p_axis ** (d - 1) * w_mass * per_axis
-    return tail_n1 + tail_window
+    return tail_n1 + _window_only_bound(N, d, window)
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +351,6 @@ def _axis_factor_arr(r, N: int):
 def _first_factor_arr(n1s, x: float, N: int, d: int):
     omc = _one_minus_cis_arr(TWO_PI * (x * n1s))
     return series_coefficient(d) * omc / (TWO_PI * n1s) * _fejer_arr(n1s / (N * N))
-
-
-def _residue_blocks(alpha: AlphaVec, lo: int, hi: int, block: int = _BLOCK):
-    """Nearest residues for n1 = lo..hi as float arrays, one block at a time.
-
-    Yields (n1_start, res) with res of shape (count, d); res uses the
-    canonical signed-residue floats (tie at +1/2).
-    """
-    d = alpha.dim
-    for start in range(lo, hi + 1, block):
-        count = min(block, hi + 1 - start)
-        res = np.empty((count, d), dtype=np.float64)
-        for i, comp in enumerate(alpha.components):
-            bhi, blo = _lanes.mul_block(comp.raw, start, count)
-            res[:, i], _ = _lanes.residue_lanes(bhi, blo)
-        yield start, res
 
 
 def _negated_residues(res):
@@ -433,7 +412,7 @@ def _full_series_sum(alpha: AlphaVec, x: float, N: int, cutoff: int, window: int
     d = alpha.dim
     offsets = _window_offsets(window)
     acc = _BlockSum()
-    for start, res in _residue_blocks(alpha, 1, cutoff):
+    for start, res in _lanes.residue_blocks(alpha.raws(), 1, cutoff):
         n1f = np.arange(start, start + res.shape[0], dtype=np.float64)
         for sign in (1.0, -1.0):
             rs = res if sign > 0 else _negated_residues(res)
@@ -461,7 +440,7 @@ def _nearest_component_sum(alpha: AlphaVec, x: float, N: int, lo: int, hi: int,
     acc = _BlockSum()
     if hi < lo:
         return acc
-    for start, res in _residue_blocks(alpha, lo, hi):
+    for start, res in _lanes.residue_blocks(alpha.raws(), lo, hi):
         n1f = np.arange(start, start + res.shape[0], dtype=np.float64)
         if threshold is not None:
             keep = _product_mask(alpha, start, n1f,
@@ -575,11 +554,7 @@ def recombine(dbar5: complex, dbar6_by_mask: dict, d: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# geometric buckets and paired cancellation
-
-
-def bucket_ratio_log(N: int, d: int) -> float:
-    return math.log1p(delta_n(N, d))
+# geometric bucket coordinates
 
 
 def assign_buckets(n1f, res, logb: float):
@@ -602,102 +577,3 @@ def assign_buckets(n1f, res, logb: float):
     lvec[:, d] = m_last + lvec[:, 0] - np.sum(lvec[:, 1:d], axis=1)
     eps[:, 1:] = np.where(res > 0, 1, -1)
     return lvec, eps
-
-
-@dataclass(frozen=True)
-class PairRecord:
-    l: tuple
-    eps_plus: tuple
-    eps_minus: tuple
-    value_plus: float
-    value_minus: float
-    pair_sum: float
-    count_plus: int
-    count_minus: int
-    bound: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class PairCancellationReport:
-    records: list
-    total: float
-    delta: float
-    bound: float
-    flagged_count: int
-
-
-def pair_cancellation_report(alpha: AlphaVec, x, N: int,
-                             params: FourierParams | None = None,
-                             flag_constant: float = 1.0) -> PairCancellationReport:
-    """Main-sum mass of U4 grouped into sign pairs that share a bucket.
-
-    Each n in U4 lands in the geometric bucket (l, eps) of its (n1, r)
-    vector; buckets pair up across a flip of the last sign, which flips the
-    sign of the divisor n1 prod r.  Pairs whose combined sum exceeds
-    flag_constant * delta^{d+2} get flagged.  The pair sums add up to the
-    dbar5 component exactly (same terms, different grouping): x plays no
-    role in the main sum and is accepted only for interface symmetry.
-    """
-    _require_log_range(N)
-    params = params if params is not None else FourierParams()
-    d = alpha.dim
-    s = params.resolve_s(d)
-    threshold = product_threshold(N, s)
-    delta = delta_n(N, d)
-    logb = math.log1p(delta)
-    sums: dict = {}
-    counts: dict = {}
-    for start, res in _residue_blocks(alpha, 2, u4_limit(N)):
-        n1f = np.arange(start, start + res.shape[0], dtype=np.float64)
-        keep = _product_mask(alpha, start, n1f,
-                             np.prod(np.abs(res), axis=1), threshold)
-        if not np.any(keep):
-            continue
-        kres = res[keep]
-        kn1 = n1f[keep]
-        for sign in (1.0, -1.0):
-            rs = kres if sign > 0 else _negated_residues(kres)
-            lvec, eps = assign_buckets(kn1, rs, logb)
-            eps[:, 0] = int(sign)
-            g = _fejer_arr(kn1 / (N * N))
-            denom = sign * kn1
-            for i in range(d):
-                g *= _fejer_arr(rs[:, i])
-                denom *= rs[:, i]
-            vals = g / denom
-            cols = np.concatenate([lvec, eps], axis=1)
-            uniq, inv = np.unique(cols, axis=0, return_inverse=True)
-            bsums = np.bincount(inv, weights=vals)
-            bcounts = np.bincount(inv)
-            for u, sv, cv in zip(uniq, bsums, bcounts):
-                key = (tuple(int(v) for v in u[:d + 1]),
-                       tuple(int(v) for v in u[d + 1:]))
-                sums[key] = sums.get(key, 0.0) + float(sv)
-                counts[key] = counts.get(key, 0) + int(cv)
-    bound = flag_constant * delta ** (d + 2)
-    records = []
-    seen = set()
-    for (l, eps) in sorted(sums):
-        head = eps[:-1]
-        if (l, head) in seen:
-            continue
-        seen.add((l, head))
-        sign_prod = 1
-        for e in head:
-            sign_prod *= e
-        eps_plus = head + (sign_prod,)
-        eps_minus = head + (-sign_prod,)
-        vp = sums.get((l, eps_plus), 0.0)
-        vm = sums.get((l, eps_minus), 0.0)
-        pair = vp + vm
-        records.append(PairRecord(
-            l=l, eps_plus=eps_plus, eps_minus=eps_minus,
-            value_plus=vp, value_minus=vm, pair_sum=pair,
-            count_plus=counts.get((l, eps_plus), 0),
-            count_minus=counts.get((l, eps_minus), 0),
-            bound=bound, flagged=abs(pair) > bound))
-    total = math.fsum(r.pair_sum for r in records)
-    flagged = sum(1 for r in records if r.flagged)
-    return PairCancellationReport(records=records, total=total, delta=delta,
-                                  bound=bound, flagged_count=flagged)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _lanes
 from .errors import BudgetError
-from .unitfrac import MOD, UnitFrac, AlphaVec
+from .unitfrac import MOD, AlphaVec
 
 DEFAULT_POINT_BUDGET = 1 << 26
 
@@ -52,9 +52,6 @@ class PointSet:
 
     def raws(self) -> list:
         return [(int(h) << 64) | int(l) for h, l in zip(self.hi, self.lo)]
-
-    def values(self) -> list:
-        return [UnitFrac(r) for r in self.raws()]
 
     def sorted_lanes(self):
         return _lanes.sort_lanes(self.hi, self.lo)
@@ -119,39 +116,6 @@ def generate_points(alpha: AlphaVec, N: int, shift: WindowShift | None = None,
     return PointSet(hi=hi, lo=lo, dim=alpha.dim, windows=windows)
 
 
-def iter_point_lanes(alpha: AlphaVec, N: int, shift: WindowShift | None = None,
-                     max_block: int = 1 << 22):
-    """Stream the same multiset as generate_points in lexicographic order,
-    yielding (hi, lo) lane blocks, never holding more than max_block points.
-
-    Blocks split along the leading window, so consumers can count without
-    materializing; the tail lattice over the remaining axes must fit one
-    block.
-    """
-    windows = _resolve_windows(alpha, N, shift)
-    if any(len(w) == 0 for w in windows):
-        return
-    lead = windows[0]
-    comp0 = alpha.components[0]
-    if alpha.dim == 1:
-        for s in range(0, len(lead), max_block):
-            n = min(max_block, len(lead) - s)
-            yield _lanes.mul_block(comp0.raw, lead.start + s, n)
-        return
-    tail = 1
-    for w in windows[1:]:
-        tail *= len(w)
-    if tail > max_block:
-        raise BudgetError(f"tail lattice of {tail} exceeds block size {max_block}")
-    thi, tlo = _fold_axes(AlphaVec(alpha.components[1:]), windows[1:])
-    group = max(1, max_block // tail)
-    for s in range(0, len(lead), group):
-        n = min(group, len(lead) - s)
-        bhi, blo = _lanes.mul_block(comp0.raw, lead.start + s, n)
-        hi, lo = _lanes.add_lanes(bhi[:, None], blo[:, None], thi[None, :], tlo[None, :])
-        yield hi.reshape(-1), lo.reshape(-1)
-
-
 def _arc_thresholds(a, b):
     """Exact raw-word thresholds for the mod-1 arc [a, b).
 
@@ -198,17 +162,6 @@ def count_in_interval(points: PointSet, a, b) -> int:
     """
     mode, ta, tb = _arc_thresholds(a, b)
     return _count_arc_lanes(points.hi, points.lo, mode, ta, tb)
-
-
-def count_in_interval_streaming(alpha: AlphaVec, N: int, a, b,
-                                shift: WindowShift | None = None,
-                                max_block: int = 1 << 22) -> int:
-    """count_in_interval without materializing the point set."""
-    mode, ta, tb = _arc_thresholds(a, b)
-    total = 0
-    for hi, lo in iter_point_lanes(alpha, N, shift, max_block=max_block):
-        total += _count_arc_lanes(hi, lo, mode, ta, tb)
-    return total
 
 
 def dump_sorted(points: PointSet, path) -> None:

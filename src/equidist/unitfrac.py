@@ -124,10 +124,6 @@ def frac_from_real(r) -> UnitFrac:
     return UnitFrac(raw & MASK)
 
 
-def frac_from_raw(raw: int) -> UnitFrac:
-    return UnitFrac(raw)
-
-
 def frac_mul_int(a: UnitFrac, n: int) -> UnitFrac:
     """Exact fractional part {n * a}.  Any Python int n is handled exactly."""
     return UnitFrac((n * a.raw) & MASK)
@@ -202,10 +198,12 @@ def frac_from_token(token: str) -> UnitFrac:
 def alpha_from_specs(tokens, dim: int | None = None) -> AlphaVec:
     """Build an AlphaVec from CLI-style tokens.
 
-    Either a single "random:<seed>" token (expanded to dim coordinates,
-    default 1) or one literal token per coordinate (decimal or hex raw).
+    Each token may hold several comma-joined coordinates, so ["0.25,0.5"]
+    and ["0.25", "0.5"] give the same vector.  Either a single
+    "random:<seed>" token (expanded to dim coordinates, default 1) or one
+    literal token per coordinate (decimal or hex raw).
     """
-    toks = list(tokens)
+    toks = [t.strip() for tok in tokens for t in tok.split(",") if t.strip()]
     if not toks:
         raise ValueError("no alpha given")
     if len(toks) == 1 and toks[0].startswith("random:"):

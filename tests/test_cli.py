@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -149,7 +150,15 @@ def test_exit_codes(capsys):
     # budget violations map to 3
     assert dispatch(["census", "--alpha", "0.5", "--N", "2048", "--x", "0.3"]) == 3
     assert dispatch(["spectrum", "--alpha", "0.5", "--M", str(10 ** 9 + 1)]) == 3
-    capsys.readouterr()
+    # ~1.3e12 values of n1 and 2^40 values of n1: the scan budget refuses
+    # both before the first block
+    t0 = time.perf_counter()
+    assert dispatch(["fourier", "--alpha", "0.618", "--N", "100000",
+                     "--x", "0.3"]) == 3
+    assert dispatch(["boxes", "--alpha", "0.618", "--N", "1000000",
+                     "--grid", "dyadic", "--bucket", "40,1"]) == 3
+    assert time.perf_counter() - t0 < 2.0
+    assert capsys.readouterr().out == ""
 
 
 def test_threads_env_fallback(capsys, monkeypatch):

@@ -11,10 +11,12 @@ from equidist import (
     BucketVec,
     BudgetError,
     PhiSpec,
+    all_masks,
     alpha_from_specs,
     box_count_recheck,
     box_counts,
     bucket_in_geometry,
+    component_sum,
     continued_fraction,
     line_census,
     min_distance_scan,
@@ -26,6 +28,7 @@ from equidist import (
     spectrum_scan,
     validate_bucket,
 )
+from equidist import _lanes
 from equidist.unitfrac import MOD, dist_nearest, frac_mul_int
 
 # frozen: exhaustive scan over 2 <= n <= 1e6; the minimum sits at n=3,
@@ -103,6 +106,40 @@ def test_spectrum_guards(golden1):
     rational = alpha_from_specs(["0.25"])
     with pytest.raises(ValueError):
         spectrum_scan(rational, 100, PhiSpec())
+
+
+def test_block_tiling_invariance(monkeypatch, golden1):
+    # every exact result must be independent of where the scan cuts its
+    # blocks; an odd tile puts block edges inside every range below.
+    # Fourier float sums are left out: block grouping changes their rounding
+    alpha = random_alpha(11, 2)
+    a1 = random_alpha(11, 1)
+    buckets = [BucketVec(l=(11, 9), eps=(1, 1), grid="dyadic"),
+               BucketVec(l=(80, 70), eps=(1, 1), grid="geometric"),
+               BucketVec(l=(80, 70), eps=(-1, 1), grid="geometric")]
+
+    def exact_results():
+        terms = [component_sum(c, a1, 0.3, 128).term_count
+                 for c in ("dbar2", "dbar3")]
+        # N = 6000 is about the smallest size with a nonempty U4
+        terms += [component_sum(c, a1, 0.3, 6000).term_count
+                  for c in ("dbar4", "dbar5")]
+        terms += [component_sum("dbar6", a1, 0.3, 6000, mask=m).term_count
+                  for m in all_masks(1)]
+        return (spectrum_scan(golden1, 20000, PhiSpec()),
+                spectrum_scan(alpha, 20000, PhiSpec()),
+                product_scan(alpha, 2, 20000),
+                min_distance_scan(golden1.components[0], 2, 20000),
+                [r.observed for r in box_counts(golden1, 1 << 10, buckets)],
+                line_census(golden1, 0.3, 256).pair_total,
+                line_census(alpha, 0.3, 64).pair_total,
+                terms)
+
+    default = exact_results()
+    assert default[-1][2] > 0            # U4 terms exist at N = 6000
+    assert all(n > 0 for n in default[4])
+    monkeypatch.setattr(_lanes, "BLOCK", 1009)
+    assert exact_results() == default
 
 
 def test_continued_fraction_classics(golden1, golden_sqrt2):

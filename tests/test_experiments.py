@@ -11,6 +11,7 @@ from equidist import (
     GrowthConfig,
     GrowthRecord,
     PhiSpec,
+    alpha_from_specs,
     alpha_from_values,
     cross_validate,
     growth_csv,
@@ -20,7 +21,6 @@ from equidist import (
     max_discrepancy,
     phi_eval,
     random_alpha,
-    resolve_alpha,
     run_growth_experiment,
 )
 from equidist.experiments import GROWTH_CSV_HEADER, degenerate_order
@@ -79,11 +79,12 @@ def test_degenerate_orders():
 
 
 def test_resolve_alpha_forms():
-    assert resolve_alpha("random:5", 2) == random_alpha(5, 2)
-    a = resolve_alpha("0.25,0.5", 2)
+    assert alpha_from_specs(["random:5"], 2) == random_alpha(5, 2)
+    a = alpha_from_specs(["0.25,0.5"], 2)
     assert [c.value for c in a.components] == [0.25, 0.5]
+    assert a == alpha_from_specs(["0.25", "0.5"], 2)
     with pytest.raises(ValueError):
-        resolve_alpha("0.25", 2)
+        alpha_from_specs(["0.25"], 2)
 
 
 def test_growth_config_validation():
@@ -116,7 +117,7 @@ def test_run_growth_experiment_small():
     assert [(r.alpha_seed, r.N) for r in recs] == [
         ("random:0", 16), ("random:0", 32), ("random:1", 16), ("random:1", 32)]
     for r in recs:
-        alpha = resolve_alpha(r.alpha_seed, 1)
+        alpha = alpha_from_specs([r.alpha_seed], 1)
         assert r.delta == max_discrepancy(alpha, r.N).delta
         assert r.normalizer == growth_normalizer(r.N, 1, cfg.phi, 3)
         assert r.ratio == r.delta / r.normalizer

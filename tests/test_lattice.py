@@ -18,7 +18,7 @@ from equidist import (
     load_dump,
     random_alpha,
 )
-from equidist.lattice import count_in_interval_streaming, iter_point_lanes, strict_window
+from equidist.lattice import strict_window
 from equidist.unitfrac import MOD
 
 
@@ -130,20 +130,6 @@ def test_shifted_window_cardinality(golden1):
     shifted = generate_points(golden1, 5, WindowShift(0.0, (1.5,)))
     g = golden1.components[0]
     assert shifted.raws() == [frac_mul_int(g, k).raw for k in range(2, 7)]
-
-
-@given(st.integers(0, 2 ** 32), st.integers(1, 2), st.integers(1, 30))
-@settings(max_examples=40, deadline=None)
-def test_streaming_matches_materialized(seed, d, N):
-    alpha = random_alpha(seed, d)
-    pts = generate_points(alpha, N)
-    got = np.concatenate([
-        (h.astype(object) * (1 << 64)) + l.astype(object)
-        for h, l in iter_point_lanes(alpha, N, max_block=7 if d == 1 else 64)
-    ])
-    assert list(got) == pts.raws()
-    assert count_in_interval_streaming(alpha, N, 0.2, 0.7) \
-        == count_in_interval(pts, 0.2, 0.7)
 
 
 def test_dump_roundtrip(tmp_path, golden_sqrt2):
