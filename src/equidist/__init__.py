@@ -1,6 +1,6 @@
 """Discrepancy toolkit for d-dimensional linear-form sequences.
 
-The point set is {k_1 a_1 + ... + k_d a_d mod 1 : 0 <= k_i < N} with the
+The point set is {k_1 a_1 + ... + k_d a_d mod 1 : 1 <= k_i <= N} with the
 a_i stored as 128-bit fixed-point fractions, so counting, sorting, and
 residue geometry are exact.  On top of that sit the direct discrepancy
 evaluators, the frequency-side component sums with their index-set

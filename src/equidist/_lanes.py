@@ -1,8 +1,8 @@
 """uint64-lane arithmetic for exact 128-bit words in numpy arrays.
 
 A raw word w with 0 <= w < 2**128 is split as w = hi * 2**64 + lo and held
-in two uint64 arrays.  Multiplication by a small integer runs over 32-bit
-limbs so every partial product fits uint64; addition propagates one carry.
+in two uint64 arrays.  Addition propagates one carry, and a block of
+multiples n * raw is built by doubling, one lane addition per step.
 Everything here is exact; only the float conversions round, and they use
 the same two-step formula as unitfrac.raw_to_float so scalar and vector
 paths produce bit-identical floats.
@@ -24,8 +24,6 @@ MASK64 = (1 << 64) - 1
 MASK128 = (1 << 128) - 1
 
 _U0 = np.uint64(0)
-_U32 = np.uint64(32)
-_M32 = np.uint64(0xFFFFFFFF)
 _HI_HALF = np.uint64(1 << 63)
 
 _INV64 = 2.0 ** -64
@@ -43,40 +41,23 @@ def split_raw(raw: int):
 def mul_block(raw: int, n0: int, count: int):
     """Lanes of (n * raw) mod 2**128 for n = n0, ..., n0 + count - 1.
 
-    The block is formed as base + j*raw with base = (n0*raw) mod 2**128
-    computed in exact Python ints, so n0 may be any integer (negative
-    included); only the offset j has to fit the 32-bit limb multiplier.
+    Word 0 is (n0 * raw) mod 2**128 in exact Python ints, so n0 may be any
+    integer (negative included).  The block then doubles: for k = 1, 2, 4,
+    ..., words k..k+m-1 are words 0..m-1 plus (k * raw) mod 2**128, with
+    m = min(k, count - k).  Each word is exact by induction on k.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count >= (1 << 32):
-        raise ValueError("block too long for 32-bit limb multiply")
-    j = np.arange(count, dtype=np.uint64)
-    l0 = np.uint64(raw & 0xFFFFFFFF)
-    l1 = np.uint64((raw >> 32) & 0xFFFFFFFF)
-    l2 = np.uint64((raw >> 64) & 0xFFFFFFFF)
-    l3 = np.uint64((raw >> 96) & 0xFFFFFFFF)
-    # j * limb <= (2**32 - 1)**2 < 2**64, carry < 2**32: no uint64 overflow
-    t = j * l0
-    s0 = t & _M32
-    c = t >> _U32
-    t = j * l1 + c
-    s1 = t & _M32
-    c = t >> _U32
-    t = j * l2 + c
-    s2 = t & _M32
-    c = t >> _U32
-    t = j * l3 + c
-    s3 = t & _M32
-    lo = s0 | (s1 << _U32)
-    hi = s2 | (s3 << _U32)
-    base = (n0 * raw) & MASK128
-    if base:
-        bhi, blo = split_raw(base)
-        lo2 = lo + blo
-        carry = (lo2 < blo).astype(np.uint64)
-        hi = hi + bhi + carry
-        lo = lo2
+    hi = np.empty(count, dtype=np.uint64)
+    lo = np.empty(count, dtype=np.uint64)
+    if count:
+        hi[0], lo[0] = split_raw((n0 * raw) & MASK128)
+    k = 1
+    while k < count:
+        m = min(k, count - k)
+        khi, klo = split_raw((k * raw) & MASK128)
+        hi[k:k + m], lo[k:k + m] = add_lanes(hi[:m], lo[:m], khi, klo)
+        k *= 2
     return hi, lo
 
 

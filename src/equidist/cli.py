@@ -250,7 +250,7 @@ def _add_common(p, alpha=True, n=True, x=None):
                             "coordinates, or 1 for random:<seed>)")
     if n:
         p.add_argument("--N", type=int, required=True,
-                       help="window size: coefficients range over [0, N)")
+                       help="window size: coefficients range over [1, N]")
     if x == "opt":
         p.add_argument("--x", type=float, default=None,
                        help="interval endpoint in [0, 1]")
@@ -260,7 +260,8 @@ def _add_common(p, alpha=True, n=True, x=None):
     p.add_argument("--no-timing", action="store_true",
                    help="zero every wall-clock field (for byte comparisons)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker count (default: EQUIDIST_THREADS or cores)")
+                   help="worker count, read by growth only "
+                        "(default: EQUIDIST_THREADS or cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:

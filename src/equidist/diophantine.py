@@ -150,6 +150,8 @@ def spectrum_scan(alpha: AlphaVec, M: int, phi) -> list:
     one bucket, so the counts sum to M - 1.  M = 10^9 is the largest scan
     the budget admits.
     """
+    if M < 2:
+        raise ValueError("need M >= 2")
     out: dict = {}
     d = alpha.dim
     for start, nf, prod in _lanes.product_blocks(alpha.raws(), 2, M):
@@ -430,28 +432,12 @@ def neighbor_step(N: int, d: int) -> tuple:
     return tuple(step)
 
 
-def _admissible(l, l1_max: int, d: int) -> bool:
-    return all(v >= 1 for v in l) and l[d] <= l[0] and l[0] <= l1_max
-
-
-def _line_root(l, step, l1_max: int, d: int):
-    # walk back while the predecessor stays admissible; only l_1 >= 1 and
-    # l_{d+1} >= 1 can break (middles grow, the shape constraints relax)
-    k = min((l[0] - 1) // step[0], (l[d] - 1) // step[d])
-    root = tuple(l[i] - k * step[i] for i in range(d + 1))
-    return root, k
-
-
-def _line_length(root, step, l1_max: int, d: int) -> int:
-    length = 1
-    cur = list(root)
-    while True:
-        nxt = [cur[i] + step[i] for i in range(d + 1)]
-        if not _admissible(nxt, l1_max, d):
-            break
-        cur = nxt
-        length += 1
-    return length
+def _census_l1_max(q: int, N: int) -> int:
+    """Largest l_1 with band base 4 ((q+1)/q)^l_1 <= N^2, in integers."""
+    l1_max, lhs, rhs = 0, 4 * (q + 1), N * N * q
+    while lhs <= rhs:
+        l1_max, lhs, rhs = l1_max + 1, lhs * (q + 1), rhs * q
+    return l1_max
 
 
 def line_census(alpha: AlphaVec, x, N: int,
@@ -464,11 +450,14 @@ def line_census(alpha: AlphaVec, x, N: int,
 
         (|S+| + |S-|) / ln N <= |sum_{S+} e(Lambda) - sum_{S-} e(Lambda)|;
 
-    pairs with no elements at all are skipped.  Buckets are grouped into
-    chains under the neighbor step; each chain root identifies a line.
-    Admissible l: positive coordinates, l_{d+1} <= l_1, band base within
-    N^2/4.  The at-most-one-big property is per sign class, so a violation
-    is a line holding two eps-big buckets for the same eps pair;
+    pairs with no elements at all are skipped.  Admissible l: positive
+    coordinates, l_{d+1} <= l_1 <= l1_max, band base within N^2/4.  A line
+    is a chain l, l + step, l + 2 step, ... of admissible buckets under the
+    neighbor step.  At every size the caps admit, l1_max <= step[0], so
+    l + step is never admissible: each line is one bucket, its root the
+    bucket itself and its length 1 (a size with l1_max > step[0] raises
+    BudgetError).  The at-most-one-big property is per sign class, so a
+    violation is a line holding two eps-big buckets for the same eps pair;
     max_big_per_line is that per-class maximum, while LineRecord.big_count
     totals over classes.
     """
@@ -486,13 +475,15 @@ def line_census(alpha: AlphaVec, x, N: int,
     x = float(x)
     q = _geom_q(N, d)
     logb = math.log1p(1.0 / q)
-    l1_max = 0
-    while 4 * (q + 1) ** (l1_max + 1) <= N * N * q ** (l1_max + 1):
-        l1_max += 1
-    if l1_max == 0:
-        return LineCensus([], 0, 0, 0, [], neighbor_step(N, d))
-    _, hi = _n1_range_geometric(q, l1_max)
+    l1_max = _census_l1_max(q, N)
     step = neighbor_step(N, d)
+    if l1_max > step[0]:
+        raise BudgetError(
+            f"census lines hold one bucket only while l1_max <= {step[0]}; "
+            f"N = {N} gives l1_max = {l1_max}")
+    if l1_max == 0:
+        return LineCensus([], 0, 0, 0, [], step)
+    _, hi = _n1_range_geometric(q, l1_max)
     stats: dict = {}
     for start, res in _lanes.residue_blocks(alpha.raws(), 1, hi):
         n1f = np.arange(start, start + res.shape[0], dtype=np.float64)
@@ -549,19 +540,17 @@ def line_census(alpha: AlphaVec, x, N: int,
             continue
         pair_total += 1
         big = sizes / log_n <= abs(plus[1] - minus[1])
-        root, _ = _line_root(l, step, l1_max, d)
-        rec = lines.setdefault(root, [0, 0])
+        rec = lines.setdefault(l, [0, 0])
         rec[0] += 1
         if big:
             rec[1] += 1
             big_total += 1
             # the at-most-one-big statement is per sign class: bigs on one
             # line only collide when they share the eps pair
-            per_class[(root, head)] = per_class.get((root, head), 0) + 1
-    line_records = [
-        LineRecord(root=root, length=_line_length(root, step, l1_max, d),
-                   pair_count=pc, big_count=bc)
-        for root, (pc, bc) in sorted(lines.items())]
+            per_class[(l, head)] = per_class.get((l, head), 0) + 1
+    line_records = [LineRecord(root=root, length=1, pair_count=pc,
+                               big_count=bc)
+                    for root, (pc, bc) in sorted(lines.items())]
     max_big = max(per_class.values(), default=0)
     violations = sorted({root for (root, _), c in per_class.items()
                          if c >= 2})

@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,6 +119,7 @@ def _require_log_range(N: int):
         raise ValueError("frequency-side evaluation needs N >= 2")
 
 
+@lru_cache
 def u1_threshold(N: int) -> Fraction:
     """Exact rational N^2 (ln N)^2 built from the float ln N."""
     _require_log_range(N)
@@ -136,6 +138,7 @@ def u4_limit(N: int) -> int:
     return (N * N - 1) // 4
 
 
+@lru_cache
 def product_threshold(N: int, s: int) -> Fraction:
     """Exact rational (ln N)^s built from the float ln N."""
     _require_log_range(N)

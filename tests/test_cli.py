@@ -147,6 +147,9 @@ def test_exit_codes(capsys):
     assert dispatch([]) == 2
     assert dispatch(["discrepancy", "--alpha", "1.5", "--N", "4"]) == 2
     assert dispatch(["discrepancy", "--alpha", "0.5"]) == 2          # missing --N
+    # an empty spectrum range is refused, not printed as an empty table
+    assert dispatch(["spectrum", "--alpha", "0.5", "--M", "1"]) == 2
+    assert dispatch(["spectrum", "--alpha", "0.5", "--M", "-5"]) == 2
     # budget violations map to 3
     assert dispatch(["census", "--alpha", "0.5", "--N", "2048", "--x", "0.3"]) == 3
     assert dispatch(["spectrum", "--alpha", "0.5", "--M", str(10 ** 9 + 1)]) == 3

@@ -28,7 +28,9 @@ from equidist import (
     spectrum_scan,
     validate_bucket,
 )
-from equidist import _lanes
+from equidist import _lanes, diophantine
+from equidist.diophantine import (CENSUS_MAX_DIM, CENSUS_MAX_N,
+                                  _census_l1_max, _geom_q)
 from equidist.unitfrac import MOD, dist_nearest, frac_mul_int
 
 # frozen: exhaustive scan over 2 <= n <= 1e6; the minimum sits at n=3,
@@ -106,6 +108,9 @@ def test_spectrum_guards(golden1):
     rational = alpha_from_specs(["0.25"])
     with pytest.raises(ValueError):
         spectrum_scan(rational, 100, PhiSpec())
+    for M in (1, -5):
+        with pytest.raises(ValueError, match="need M >= 2"):
+            spectrum_scan(golden1, M, PhiSpec())
 
 
 def test_block_tiling_invariance(monkeypatch, golden1):
@@ -261,9 +266,22 @@ def test_census_frozen(golden1):
     assert all(rec.length == 1 for rec in c.lines)
 
 
-def test_census_guards(golden1):
+def test_census_lines_are_single_buckets():
+    # integer-only: at every admitted size l1_max <= step[0], so l + step
+    # is never admissible and line_census takes root = l, length = 1
+    for d in range(1, CENSUS_MAX_DIM + 1):
+        for N in range(2, CENSUS_MAX_N + 1):
+            assert _census_l1_max(_geom_q(N, d), N) <= neighbor_step(N, d)[0]
+
+
+def test_census_guards(golden1, monkeypatch):
     with pytest.raises(BudgetError):
         line_census(golden1, 0.3, 2048)
+    # with the size cap lifted, N = 2^18 gives l1_max = 318 > step[0] = 307;
+    # the census refuses it before the first block
+    monkeypatch.setattr(diophantine, "CENSUS_MAX_N", 1 << 18)
+    with pytest.raises(BudgetError, match="one bucket"):
+        line_census(golden1, 0.3, 1 << 18)
     with pytest.raises(BudgetError):
         line_census(random_alpha(0, 3), 0.3, 64)
     with pytest.raises(ValueError):

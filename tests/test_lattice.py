@@ -18,8 +18,15 @@ from equidist import (
     load_dump,
     random_alpha,
 )
+from equidist import _lanes
 from equidist.lattice import strict_window
 from equidist.unitfrac import MOD
+
+# small counts, the odd tile of the tiling test, and every power of two
+# up to 2^12 with its neighbours: each doubling step ends full or partial
+MUL_BLOCK_COUNTS = sorted({0, 1, 2, 3, 1009}
+                          | {(1 << e) + k for e in range(1, 13)
+                             for k in (-1, 0, 1)})
 
 
 def point_set_from_raws(raws):
@@ -138,3 +145,22 @@ def test_dump_roundtrip(tmp_path, golden_sqrt2):
     dump_sorted(pts, path)
     assert path.stat().st_size == 4 * 16
     assert load_dump(path) == D2_N2_RAWS
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw=st.one_of(st.sampled_from([0, 1, 1 << 127, MOD - 1]),
+                     st.integers(0, MOD - 1)),
+       n0=st.one_of(st.sampled_from([-(1 << 64) - 3, -(1 << 100), -1, 0]),
+                    st.integers(-(1 << 80), 1 << 80)),
+       count=st.sampled_from(MUL_BLOCK_COUNTS))
+def test_mul_block_matches_python_ints(raw, n0, count):
+    hi, lo = _lanes.mul_block(raw, n0, count)
+    assert hi.dtype == np.uint64 and lo.dtype == np.uint64
+    assert hi.shape == (count,) and lo.shape == (count,)
+    got = [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
+    assert got == [((n0 + i) * raw) % MOD for i in range(count)]
+
+
+def test_mul_block_rejects_negative_count():
+    with pytest.raises(ValueError):
+        _lanes.mul_block(1, 0, -1)
