@@ -9,8 +9,7 @@ decomposition, small-divisor diagnostics, and growth experiments.
 
 from .discrepancy import (SIDE_LEFT, SIDE_RIGHT, AveragedResult,
                           DiscrepancyResult, averaged_discrepancy_direct,
-                          discrepancy_at, max_discrepancy,
-                          oscillated_discrepancy)
+                          discrepancy_at, max_discrepancy)
 from .diophantine import (BoxCountRecord, BucketVec, CFExpansion, LineCensus,
                           LineRecord, SpectrumRecord, box_count_recheck,
                           box_counts, bucket_in_geometry, continued_fraction,
@@ -27,9 +26,8 @@ from .fourier import (ComponentReport, FourierParams, all_masks,
                       component_sum, delta_n, f_term, fejer,
                       fourier_tail_bound, g_factor, index_set_membership,
                       lambda_form, recombine, series_coefficient)
-from .lattice import (DEFAULT_POINT_BUDGET, PointSet, WindowShift,
-                      count_in_interval, dump_sorted, generate_points,
-                      load_dump)
+from .lattice import (DEFAULT_POINT_BUDGET, PointSet, count_in_interval,
+                      dump_sorted, generate_points, load_dump)
 from .unitfrac import (AlphaVec, SignedResidue, UnitFrac, alpha_from_specs,
                        alpha_from_values, dist_nearest, frac_from_real,
                        frac_from_token, frac_mul_int, nearest_residue,
@@ -44,7 +42,7 @@ __all__ = [
     "GrowthConfig", "GrowthRecord", "LineCensus", "LineRecord",
     "PhiSpec", "PointSet",
     "SIDE_LEFT", "SIDE_RIGHT", "SignedResidue", "SpectrumRecord", "UnitFrac",
-    "WindowShift", "all_masks", "alpha_from_specs", "alpha_from_values",
+    "all_masks", "alpha_from_specs", "alpha_from_values",
     "averaged_discrepancy_direct", "box_count_recheck", "box_counts",
     "bucket_in_geometry", "component_sum", "continued_fraction",
     "count_in_interval",
@@ -54,7 +52,7 @@ __all__ = [
     "growth_csv", "growth_normalizer", "growth_trend", "index_set_membership",
     "is_degenerate", "lambda_form", "line_census", "load_dump",
     "max_discrepancy", "min_distance_scan", "nearest_residue",
-    "neighbor_step", "oscillated_discrepancy",
+    "neighbor_step",
     "phi_eval", "product_scan", "random_alpha", "recombine",
     "run_growth_experiment", "series_coefficient", "small_divisor_product",
     "spectrum_check", "spectrum_scan", "validate_bucket",

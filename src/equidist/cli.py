@@ -122,12 +122,10 @@ def _cmd_discrepancy(args) -> str:
 
 def _cmd_average(args) -> str:
     alpha = _resolve_alpha(args)
-    r = averaged_discrepancy_direct(alpha, args.x, args.N, mode=args.mode,
-                                    samples=args.samples, seed=args.seed)
-    meta = _meta(args, alpha, N=args.N, x=args.x, mode=args.mode,
-                 samples=args.samples, seed=args.seed)
+    r = averaged_discrepancy_direct(alpha, args.x, args.N)
+    meta = _meta(args, alpha, N=args.N, x=args.x)
     return _json({"error_bound": r.error_bound, "meta": meta, "mode": r.mode,
-                  "samples": r.samples, "value": r.value})
+                  "value": r.value})
 
 
 def _cmd_fourier(args) -> str:
@@ -278,12 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("average", help="roof-averaged discrepancy at x")
     _add_common(p, x="req")
-    p.add_argument("--mode", choices=("exact-sweep", "monte-carlo"),
-                   default="exact-sweep")
-    p.add_argument("--samples", type=int, default=None,
-                   help="monte-carlo sample count")
-    p.add_argument("--seed", type=int, default=None,
-                   help="monte-carlo seed (required in that mode)")
     p.set_defaults(func=_cmd_average)
 
     p = sub.add_parser("fourier", help="one frequency-side component sum")

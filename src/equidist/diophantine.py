@@ -467,6 +467,8 @@ def line_census(alpha: AlphaVec, x, N: int,
             f"census capped at d <= {CENSUS_MAX_DIM}, N <= {CENSUS_MAX_N}")
     if N < 2:
         raise ValueError("census needs N >= 2")
+    if not 0 <= x <= 1:
+        raise ValueError(f"need 0 <= x <= 1, got {x}")
     params = params if params is not None else FourierParams()
     # s only validates here: the strict product floor empties the grid at
     # every size this census can afford, so admissibility drops it

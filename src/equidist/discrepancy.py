@@ -12,11 +12,17 @@ than nudging x by an epsilon.
 The roof-averaged form integrates the window- and interval-shifted count
 against triangle weights: (N^2/2)(1/2)^d times the integral over
 u1 in [-2/N^2, 2/N^2] and u_i in [-2, 2] of
-(1 - (N^2/2)|u1|) prod_i (1 - |u_{i+1}|/2) D(alpha; u1, x+u1; u, u+N).
-Both weights integrate to 1.  The exact sweep exploits that the integrand
-is piecewise constant: in each window shift the breakpoints are the
-integers, and in u1 they are the point crossings, where the triangle CDF
-is available in closed form.
+(1 - (N^2/2)|u1|) prod_i (1 - |u_{i+1}|/2) D(alpha; u1, x+u1; u, u+N),
+where window i holds the integers k_i with u_i < k_i < N + u_i (both
+strict) and the volume term stays N^d x.  Both weights integrate to 1.
+The shifts integrate out axis by axis: k_i lies in its window with
+probability w(k_i) = F(k_i) - F(k_i - N), F the roof CDF (0, 1/8, 1/2,
+7/8, 1 at -2..2), nonzero only for -1 <= k_i <= N + 1.  So
+
+    Dbar = sum_k prod_i w(k_i) g(k) - N^d x
+
+over that (N+3)^d lattice, with g(k) the u1-probability that the arc
+[u1, x+u1) holds point k, closed-form in the triangle CDF.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ import numpy as np
 
 from . import _lanes
 from .errors import BudgetError
-from .lattice import (DEFAULT_POINT_BUDGET, PointSet, WindowShift, _fold_axes,
+from .lattice import (DEFAULT_POINT_BUDGET, PointSet, _fold_axes,
                       count_in_interval, generate_points)
-from .unitfrac import AlphaVec, raw_to_float
+from .unitfrac import AlphaVec
 
 SIDE_LEFT = "left-limit"
 SIDE_RIGHT = "right-limit"
@@ -49,7 +55,6 @@ class AveragedResult:
     value: float
     error_bound: float
     mode: str
-    samples: int = 0
 
 
 def discrepancy_at(alpha: AlphaVec, x, N: int, points: PointSet | None = None,
@@ -91,19 +96,6 @@ def max_discrepancy(alpha: AlphaVec, N: int, points: PointSet | None = None,
                              side=SIDE_LEFT, index=il + 1)
 
 
-def oscillated_discrepancy(alpha: AlphaVec, a, b, shift: WindowShift | None,
-                           N: int, budget: int = DEFAULT_POINT_BUDGET) -> float:
-    """D(alpha; a, b; u, u+N): shifted-window hit count for the interval
-    [a, b) mod 1, minus the volume term N^d (b - a).
-
-    shift=None means the plain unshifted windows 1 <= k <= N, which reduces
-    to discrepancy_at for a=0, b=x.  The volume term always uses N^d even
-    when a shifted window holds N-1 or N+1 integers.
-    """
-    points = generate_points(alpha, N, shift, budget=budget)
-    return count_in_interval(points, a, b) - (N ** alpha.dim) * (b - a)
-
-
 def _triangle_cdf(t, s: float):
     """CDF of the normalized roof weight (1/s)(1 - |t|/s) on [-s, s]."""
     t = np.asarray(t, dtype=np.float64)
@@ -114,93 +106,56 @@ def _triangle_cdf(t, s: float):
     return np.where(t <= 0.0, below, above)
 
 
-_CELL_WEIGHT = {-2: 0.125, -1: 0.375, 0: 0.375, 1: 0.125}
+# CDF of one window shift u_i (roof density on [-2, 2]) at the integers -2..2
+_ROOF_CDF_AT = (0.0, 0.125, 0.5, 0.875, 1.0)
 
 
-def _sweep_cells(d: int):
-    cells = [()]
-    for _ in range(d):
-        cells = [c + (m,) for c in cells for m in (-2, -1, 0, 1)]
-    return cells
+def _window_weights(N: int) -> np.ndarray:
+    """P(u < k < N + u) = F(k) - F(k - N) for k = -1..N+1."""
+    def cdf(t: int) -> float:
+        return _ROOF_CDF_AT[min(max(t, -2), 2) + 2]
+    return np.array([cdf(k) - cdf(k - N) for k in range(-1, N + 2)])
 
 
 def averaged_discrepancy_direct(alpha: AlphaVec, x, N: int,
-                                mode: str = "exact-sweep",
-                                samples: int | None = None,
-                                seed: int | None = None) -> AveragedResult:
-    """Roof-averaged discrepancy by direct integration.
+                                mode: str = "exact-sweep") -> AveragedResult:
+    """Roof-averaged discrepancy Dbar(alpha, x; N) by direct integration.
 
-    exact-sweep (d <= 2, N <= 64): closed-form piecewise integration; the
-    returned error bound is 0 (float accumulation only).  monte-carlo:
-    importance-samples the roof densities with a mandatory seed and reports
-    a 3-sigma standard-error bound.
+    One weighted pass over the lattice -1 <= k_i <= N + 1: the window
+    shifts integrate out axis by axis into the weight prod_i w(k_i), and
+    the u1 integral of each point is closed-form.  "exact-sweep" is the
+    only mode; the returned error bound is 0 (float accumulation only).
+    Raises BudgetError before any work when the (N+3)^d lattice exceeds
+    DEFAULT_POINT_BUDGET.
     """
+    if mode != "exact-sweep":
+        raise ValueError(f"unknown mode {mode!r}; use exact-sweep")
     if not 0 <= x <= 1:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
-    if mode == "exact-sweep":
-        if alpha.dim > 2 or N > 64:
-            raise ValueError("exact-sweep supports d <= 2 and N <= 64")
-        return AveragedResult(value=_sweep_value(alpha, float(x), N),
-                              error_bound=0.0, mode=mode)
-    if mode == "monte-carlo":
-        if seed is None:
-            raise ValueError("monte-carlo mode requires a seed")
-        if samples is None or samples < 2:
-            raise ValueError("monte-carlo mode requires samples >= 2")
-        value, err = _monte_carlo_value(alpha, float(x), N, samples, seed)
-        return AveragedResult(value=value, error_bound=err, mode=mode,
-                              samples=samples)
-    raise ValueError(f"unknown mode {mode!r}; use exact-sweep or monte-carlo")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    m = (N + 3) ** alpha.dim
+    if m > DEFAULT_POINT_BUDGET:
+        raise BudgetError(f"averaging lattice of {m} points exceeds budget "
+                          f"{DEFAULT_POINT_BUDGET}")
+    return AveragedResult(value=_sweep_value(alpha, float(x), N),
+                          error_bound=0.0, mode=mode)
 
 
 def _sweep_value(alpha: AlphaVec, x: float, N: int) -> float:
     d = alpha.dim
     s = 2.0 / (N * N)
-    vol = float(N ** d) * x
-    total = 0.0
-    for cell in _sweep_cells(d):
-        w = 1.0
-        for m in cell:
-            w *= _CELL_WEIGHT[m]
-        windows = tuple(range(m + 1, N + m + 1) for m in cell)
-        hi, lo = _fold_axes(alpha, windows)
-        y = _lanes.lanes_to_float(hi, lo)
-        # point y is inside [u1, x+u1) mod 1 exactly for u1 in (y-x, y] + Z
-        acc = 0.0
-        for m1 in range(-3, 4):
-            top = np.minimum(y + m1, s)
-            bot = np.maximum(y - x + m1, -s)
-            live = top > bot
-            if np.any(live):
-                g = _triangle_cdf(top[live], s) - _triangle_cdf(bot[live], s)
-                acc += float(np.sum(g))
-        total += w * (acc - vol)
-    return total
-
-
-def _monte_carlo_value(alpha: AlphaVec, x: float, N: int, samples: int, seed: int):
-    d = alpha.dim
-    ext = (N + 3) ** d
-    if ext > (1 << 22):
-        raise BudgetError(f"extended lattice of {ext} too large for monte-carlo")
-    rng = np.random.default_rng(seed)
-    s = 2.0 / (N * N)
-    u1 = s * (rng.random(samples) - rng.random(samples))
-    us = [2.0 * (rng.random(samples) - rng.random(samples)) for _ in range(d)]
-    counts = np.zeros(samples, dtype=np.float64)
-    grids = [()]
-    for _ in range(d):
-        grids = [g + (k,) for g in grids for k in range(-1, N + 2)]
-    for kvec in grids:
-        raw = 0
-        for k, comp in zip(kvec, alpha.components):
-            raw = (raw + k * comp.raw) % (1 << 128)
-        y = raw_to_float(raw)
-        inside = (y - u1) % 1.0 < x
-        for k, u in zip(kvec, us):
-            inside &= (u < k) & (k < N + u)
-        counts += inside
-    vals = counts - float(N ** d) * x
-    mean = float(np.mean(vals))
-    err = 3.0 * float(np.std(vals, ddof=1)) / math.sqrt(samples)
-    return mean, err
+    hi, lo = _fold_axes(alpha, (range(-1, N + 2),) * d)
+    y = _lanes.lanes_to_float(hi, lo)
+    # point y is inside [u1, x+u1) mod 1 exactly for u1 in (y-x, y] + Z
+    g = np.zeros_like(y)
+    for m1 in range(-3, 4):
+        top = np.minimum(y + m1, s)
+        bot = np.maximum(y - x + m1, -s)
+        live = top > bot
+        g[live] += _triangle_cdf(top[live], s) - _triangle_cdf(bot[live], s)
+    w = _window_weights(N)
+    weight = w
+    for _ in range(d - 1):
+        weight = np.multiply.outer(weight, w).reshape(-1)
+    return math.fsum(weight * g) - float(N ** d) * x

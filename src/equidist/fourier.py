@@ -60,6 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _lanes
+from .errors import BudgetError
 from .unitfrac import MOD, HALF, AlphaVec, nearest_residue
 
 TWO_PI = 2.0 * math.pi
@@ -409,10 +410,21 @@ def _window_offsets(window: int) -> list:
     return out
 
 
-def _full_series_sum(alpha: AlphaVec, x: float, N: int, cutoff: int, window: int):
+@lru_cache(maxsize=1)
+def _full_series_sum(alpha: AlphaVec, x: float, N: int, cutoff: int,
+                     window: int) -> tuple:
     """Truncated full series: |n1| ascending, + before -, factorized axis
-    windows of the given size around each nearest integer."""
+    windows of the given size around each nearest integer.
+
+    Returns (value, term_count).  Cached for one argument set: dbar at its
+    default cutoff and dbar1 evaluate the same series.  Refuses before the
+    first block when cutoff * d * window reaches the scan budget.
+    """
     d = alpha.dim
+    if cutoff * d * window >= _lanes.SCAN_BUDGET:
+        raise BudgetError(
+            f"windowed series of {cutoff} n1 x {d} axes x window {window} "
+            f"exceeds the scan budget of {_lanes.SCAN_BUDGET - 1}")
     offsets = _window_offsets(window)
     acc = _BlockSum()
     for start, res in _lanes.residue_blocks(alpha.raws(), 1, cutoff):
@@ -427,7 +439,7 @@ def _full_series_sum(alpha: AlphaVec, x: float, N: int, cutoff: int, window: int
                     si += _axis_factor_arr(rs[:, i] - off, N)
                 axes *= si
             acc.add(first * axes, count=res.shape[0] * window ** d)
-    return acc
+    return acc.total(), acc.count
 
 
 def _nearest_component_sum(alpha: AlphaVec, x: float, N: int, lo: int, hi: int,
@@ -505,14 +517,13 @@ def component_sum(component: str, alpha: AlphaVec, x, N: int,
     window = params.resolve_window()
     if comp == "dbar":
         cutoff = params.resolve_cutoff(N)
-        acc = _full_series_sum(alpha, x, N, cutoff, window)
+        value, count = _full_series_sum(alpha, x, N, cutoff, window)
         bound = fourier_tail_bound(N, d, cutoff, window)
-        return ComponentReport(comp, acc.total(), acc.count, bound)
+        return ComponentReport(comp, value, count, bound)
     if comp == "dbar1":
-        cutoff = u1_limit(N)
-        acc = _full_series_sum(alpha, x, N, cutoff, window)
+        value, count = _full_series_sum(alpha, x, N, u1_limit(N), window)
         # n1 range is exact here; only the per-axis window truncates
-        return ComponentReport(comp, acc.total(), acc.count,
+        return ComponentReport(comp, value, count,
                                _window_only_bound(N, d, window))
     s = params.resolve_s(d)
     if comp == "dbar2":

@@ -1,18 +1,16 @@
 """Generation and interval counting for linear-form point sets.
 
 The points are the values {k_1 a_1 + ... + k_d a_d} mod 1 with each k_i
-running over an integer window.  Unshifted windows are 1 <= k_i <= N.  A
-WindowShift moves window i to the open interval (u_i, N + u_i); membership
-is decided purely by the strict inequalities, with no special case at
-integer shifts.  All points are exact 128-bit words; interval counts
-compare raw words against exact thresholds, so a count is never off by a
-point sitting on a float boundary.
+running over an integer window, 1 <= k_i <= N for a point set.  All
+points are exact 128-bit words; interval counts compare raw words against
+exact thresholds, so a count is never off by a point sitting on a float
+boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,19 +22,6 @@ from .unitfrac import MOD, AlphaVec
 DEFAULT_POINT_BUDGET = 1 << 26
 
 
-@dataclass(frozen=True, slots=True)
-class WindowShift:
-    """Shift of the counting geometry: u1 jitters the target interval
-    (used by the averaging integral), u[i] jitters the i-th k-window."""
-
-    u1: float
-    u: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.u)
-
-
 @dataclass(frozen=True)
 class PointSet:
     """Multiset of exact points in generation (lexicographic) order."""
@@ -44,7 +29,6 @@ class PointSet:
     hi: np.ndarray
     lo: np.ndarray
     dim: int
-    windows: tuple = field(default_factory=tuple)
 
     @property
     def cardinality(self) -> int:
@@ -55,33 +39,6 @@ class PointSet:
 
     def sorted_lanes(self):
         return _lanes.sort_lanes(self.hi, self.lo)
-
-
-def strict_window(N: int, u: float) -> range:
-    """Integers k with u < k < N + u, both inequalities strict."""
-    start = math.floor(u) + 1
-    stop = math.ceil(N + u)
-    return range(start, max(start, stop))
-
-
-def _validate_shift(shift: WindowShift, alpha: AlphaVec, N: int):
-    if shift.dim != alpha.dim:
-        raise ValueError(f"shift has {shift.dim} window offsets, alpha has dim {alpha.dim}")
-    lim = 2.0 / (N * N)
-    if not -lim <= shift.u1 <= lim:
-        raise ValueError(f"u1 out of range [-2/N^2, 2/N^2]: {shift.u1}")
-    for ui in shift.u:
-        if not -2.0 <= ui <= 2.0:
-            raise ValueError(f"window shift out of range [-2, 2]: {ui}")
-
-
-def _resolve_windows(alpha: AlphaVec, N: int, shift: WindowShift | None) -> tuple:
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if shift is None:
-        return tuple(range(1, N + 1) for _ in range(alpha.dim))
-    _validate_shift(shift, alpha, N)
-    return tuple(strict_window(N, ui) for ui in shift.u)
 
 
 def _fold_axes(alpha: AlphaVec, windows: tuple):
@@ -99,21 +56,17 @@ def _fold_axes(alpha: AlphaVec, windows: tuple):
     return hi, lo
 
 
-def generate_points(alpha: AlphaVec, N: int, shift: WindowShift | None = None,
+def generate_points(alpha: AlphaVec, N: int,
                     budget: int = DEFAULT_POINT_BUDGET) -> PointSet:
-    """Materialize the full point multiset (cardinality = product of window
-    lengths).  Raises BudgetError beyond `budget` points."""
-    windows = _resolve_windows(alpha, N, shift)
-    m = 1
-    for w in windows:
-        m *= len(w)
+    """Materialize the full point multiset, 1 <= k_i <= N (cardinality
+    N^d).  Raises BudgetError beyond `budget` points."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    m = N ** alpha.dim
     if m > budget:
         raise BudgetError(f"point set of {m} exceeds budget {budget}")
-    if m == 0:
-        empty = np.empty(0, dtype=np.uint64)
-        return PointSet(hi=empty, lo=empty, dim=alpha.dim, windows=windows)
-    hi, lo = _fold_axes(alpha, windows)
-    return PointSet(hi=hi, lo=lo, dim=alpha.dim, windows=windows)
+    hi, lo = _fold_axes(alpha, (range(1, N + 1),) * alpha.dim)
+    return PointSet(hi=hi, lo=lo, dim=alpha.dim)
 
 
 def _arc_thresholds(a, b):

@@ -12,6 +12,7 @@ reports its measured value rather than widening its tolerance.
 
 import json
 import math
+from fractions import Fraction
 import subprocess
 import sys
 import time
@@ -43,6 +44,7 @@ from equidist.fourier import u1_limit
 from equidist.unitfrac import raw_to_float
 
 from conftest import ACCEPTANCE_LINES, GOLDEN_TOKEN
+from roof_reference import exact_roof_average
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -95,6 +97,10 @@ def test_criterion_2_dual_path_agreement(golden1):
                 budget = rep.tail_bound + 1e-6
                 assert gap <= budget, (alpha, N, x, gap, rep.tail_bound)
                 assert abs(rep.value.imag) <= 1e-6
+                # against the exact roof average: the tail bound alone
+                exact = exact_roof_average(alpha, x, N)
+                assert abs(Fraction(rep.value.real) - exact) <= rep.tail_bound, \
+                    (alpha, N, x, rep.tail_bound)
                 worst = max(worst, gap / budget)
                 cases += 1
     elapsed = time.time() - t0

@@ -150,6 +150,13 @@ def test_exit_codes(capsys):
     # an empty spectrum range is refused, not printed as an empty table
     assert dispatch(["spectrum", "--alpha", "0.5", "--M", "1"]) == 2
     assert dispatch(["spectrum", "--alpha", "0.5", "--M", "-5"]) == 2
+    # x outside [0, 1] and N < 1 are value errors, not outputs
+    for x in ("1.5", "-3", "nan"):
+        assert dispatch(["census", "--alpha", "0.618", "--N", "64",
+                         "--x", x]) == 2
+    for n in ("0", "-3"):
+        assert dispatch(["average", "--alpha", "0.618", "--N", n,
+                         "--x", "0.3"]) == 2
     # budget violations map to 3
     assert dispatch(["census", "--alpha", "0.5", "--N", "2048", "--x", "0.3"]) == 3
     assert dispatch(["spectrum", "--alpha", "0.5", "--M", str(10 ** 9 + 1)]) == 3
@@ -160,6 +167,11 @@ def test_exit_codes(capsys):
                      "--x", "0.3"]) == 3
     assert dispatch(["boxes", "--alpha", "0.618", "--N", "1000000",
                      "--grid", "dyadic", "--bucket", "40,1"]) == 3
+    # 1009^3 lattice points; a windowed series of 5.8e8 n1 x 3 axes x 32
+    assert dispatch(["average", "--alpha", "random:7", "--d", "3",
+                     "--N", "1000", "--x", "0.5"]) == 3
+    assert dispatch(["fourier", "--alpha", "random:1", "--d", "3",
+                     "--N", "3000", "--x", "0.3", "--component", "dbar"]) == 3
     assert time.perf_counter() - t0 < 2.0
     assert capsys.readouterr().out == ""
 

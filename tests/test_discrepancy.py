@@ -1,22 +1,27 @@
-"""Counting-side discrepancy: pointwise, supremum, oscillated, averaged."""
+"""Counting-side discrepancy: pointwise, supremum, averaged."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from equidist import (
+    DEFAULT_POINT_BUDGET,
     SIDE_LEFT,
     SIDE_RIGHT,
-    WindowShift,
+    BudgetError,
     alpha_from_values,
     averaged_discrepancy_direct,
     discrepancy_at,
     generate_points,
     max_discrepancy,
-    oscillated_discrepancy,
     random_alpha,
 )
 from equidist.unitfrac import MOD, raw_to_float
+
+from roof_reference import exact_roof_average
 
 # frozen: brute-force jump-side scan over the 5-point golden orbit
 GOLDEN_DELTA_5 = (0.9098300562505255, 0.6180339887498949, SIDE_RIGHT, 4)
@@ -84,23 +89,6 @@ def test_full_interval_closes(golden1):
     assert discrepancy_at(golden1, 0.0, 8) == 0.0
 
 
-def test_oscillated_windows(golden1):
-    # orbit {1..5}: 0.618, 0.236, 0.854, 0.472, 0.090; [0.2, 0.7) holds 3
-    assert oscillated_discrepancy(golden1, 0.2, 0.7, None, 5) == pytest.approx(0.5)
-    # 1 < k < 6 drops k=1, keeping 0.236 and 0.472 in range; volume stays 2.5
-    shifted = WindowShift(0.0, (1.0,))
-    assert oscillated_discrepancy(golden1, 0.2, 0.7, shifted, 5) == pytest.approx(-0.5)
-    # -0.5 < k < 4.5 swaps k=5 for k=0
-    shifted = WindowShift(0.0, (-0.5,))
-    assert oscillated_discrepancy(golden1, 0.2, 0.7, shifted, 5) == pytest.approx(0.5)
-
-
-def test_oscillated_reduces_to_pointwise(golden1):
-    a = oscillated_discrepancy(golden1, 0.0, 0.3, None, 7)
-    b = discrepancy_at(golden1, 0.3, 7)
-    assert a == b
-
-
 def test_sweep_frozen(golden1):
     r = averaged_discrepancy_direct(golden1, 0.3, 8)
     assert r.value == SWEEP_G1_X03_N8
@@ -110,36 +98,44 @@ def test_sweep_frozen(golden1):
 
 def test_sweep_guards(golden1):
     with pytest.raises(ValueError):
-        averaged_discrepancy_direct(random_alpha(0, 3), 0.3, 8)
-    with pytest.raises(ValueError):
-        averaged_discrepancy_direct(golden1, 0.3, 65)
-    with pytest.raises(ValueError):
         averaged_discrepancy_direct(golden1, 1.5, 8)
     with pytest.raises(ValueError):
+        averaged_discrepancy_direct(golden1, 0.3, 0)
+    with pytest.raises(ValueError):
         averaged_discrepancy_direct(golden1, 0.3, 8, mode="monte-carlo")
-    with pytest.raises(ValueError):
-        averaged_discrepancy_direct(golden1, 0.3, 8, mode="monte-carlo", seed=1)
-    with pytest.raises(ValueError):
-        averaged_discrepancy_direct(golden1, 0.3, 8, mode="fancy")
+    # the (N+3)^d lattice is refused before any work: 407^3 > 2^26
+    with pytest.raises(BudgetError):
+        averaged_discrepancy_direct(random_alpha(0, 3), 0.3, 404)
+    with pytest.raises(BudgetError):
+        averaged_discrepancy_direct(golden1, 0.3, DEFAULT_POINT_BUDGET)
+    # d = 3 and N > 64 run
+    assert math.isfinite(averaged_discrepancy_direct(random_alpha(0, 3), 0.3, 8).value)
+    assert math.isfinite(averaged_discrepancy_direct(golden1, 0.3, 65).value)
 
 
-def test_monte_carlo_reproducible_and_consistent(golden1):
-    mc1 = averaged_discrepancy_direct(golden1, 0.3, 8, mode="monte-carlo",
-                                      samples=20000, seed=7)
-    mc2 = averaged_discrepancy_direct(golden1, 0.3, 8, mode="monte-carlo",
-                                      samples=20000, seed=7)
-    assert mc1.value == mc2.value
-    assert mc1.samples == 20000
-    assert abs(mc1.value - SWEEP_G1_X03_N8) <= mc1.error_bound
+def sweep_float_bound(d, N):
+    """Largest float error of the sweep against the exact roof average.
+
+    Each CDF argument y + m1 or y - x + m1 is within 2^-50 of its exact
+    value: y rounds by at most 2^-52, y - x and + m1 once each (at most
+    2^-51 together while |t| <= 2).  The CDF slope is at most 1/s = N^2/2,
+    and one CDF evaluation (s itself included) adds at most 8 roundings of
+    2^-53.  A point has at most floor(2 s) + 2 live m1 terms, each two CDF
+    values and two roundings.  The weights are exact dyadics summing to
+    N^d, and the weighted products, fsum, the volume term and the final
+    difference add at most 5 roundings of N^d.
+    """
+    eps = 2.0 ** -53
+    live = math.floor(Fraction(4, N * N)) + 2
+    per_point = live * (2 * (N * N / 2 * 2.0 ** -50 + 8 * eps) + 2 * eps)
+    return N ** d * (per_point + 5 * eps)
 
 
-@given(st.integers(0, 2 ** 16), st.integers(1, 2), st.integers(2, 12))
-@settings(max_examples=15, deadline=None)
-def test_monte_carlo_brackets_sweep(seed, d, N):
-    alpha = random_alpha(seed, d)
-    sweep = averaged_discrepancy_direct(alpha, 0.4, N).value
-    mc = averaged_discrepancy_direct(alpha, 0.4, N, mode="monte-carlo",
-                                     samples=4000, seed=seed + 1)
-    # 3-sigma bound: a single miss is possible but should not recur; keep
-    # the tolerance an extra half-sigma wide to kill flakiness
-    assert abs(mc.value - sweep) <= mc.error_bound * 7 / 6 + 1e-12
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 16])
+def test_sweep_matches_exact_roof_average(d, N):
+    alpha = random_alpha(10 + d, d)
+    for x in (0.0, 0.3, 0.7, 1.0):
+        exact = exact_roof_average(alpha, x, N)
+        value = averaged_discrepancy_direct(alpha, x, N).value
+        assert abs(Fraction(value) - exact) <= sweep_float_bound(d, N), (x, value)

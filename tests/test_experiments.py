@@ -211,5 +211,7 @@ def test_cross_validate_table(golden1):
 def test_cross_validate_guards(golden1):
     with pytest.raises(ValueError):
         cross_validate(golden1, 1.25, 64)
-    with pytest.raises(ValueError):
-        cross_validate(random_alpha(0, 3), 0.3, 64)     # sweep needs d <= 2
+    # the sweep's 407^3 lattice exceeds the point budget and is refused
+    # before the 404^3 point set of the direct path is built
+    with pytest.raises(BudgetError):
+        cross_validate(random_alpha(0, 3), 0.3, 404)

@@ -9,17 +9,14 @@ from hypothesis import given, settings, strategies as st
 from equidist import (
     BudgetError,
     PointSet,
-    WindowShift,
     alpha_from_values,
     count_in_interval,
     dump_sorted,
-    frac_mul_int,
     generate_points,
     load_dump,
     random_alpha,
 )
 from equidist import _lanes
-from equidist.lattice import strict_window
 from equidist.unitfrac import MOD
 
 # small counts, the odd tile of the tiling test, and every power of two
@@ -112,31 +109,6 @@ def test_budget_enforced():
     with pytest.raises(BudgetError):
         generate_points(alpha, 4, budget=15)
     assert generate_points(alpha, 4, budget=16).cardinality == 16
-
-
-def test_strict_window_endpoints():
-    assert list(strict_window(5, 0.0)) == [1, 2, 3, 4]
-    assert list(strict_window(5, -0.5)) == [0, 1, 2, 3, 4]
-    assert list(strict_window(5, 1.0)) == [2, 3, 4, 5]
-    assert list(strict_window(5, 1.5)) == [2, 3, 4, 5, 6]
-
-
-def test_shift_validation(golden1):
-    with pytest.raises(ValueError):
-        generate_points(golden1, 5, WindowShift(0.0, (3.0,)))
-    with pytest.raises(ValueError):
-        generate_points(golden1, 5, WindowShift(0.5, (0.0,)))   # u1 beyond 2/N^2
-    with pytest.raises(ValueError):
-        generate_points(golden1, 5, WindowShift(0.0, (0.0, 0.0)))
-
-
-def test_shifted_window_cardinality(golden1):
-    # 1 < k < 6 keeps 4 integers; 1.5 < k < 6.5 keeps 5
-    assert generate_points(golden1, 5, WindowShift(0.0, (1.0,))).cardinality == 4
-    assert generate_points(golden1, 5, WindowShift(0.0, (1.5,))).cardinality == 5
-    shifted = generate_points(golden1, 5, WindowShift(0.0, (1.5,)))
-    g = golden1.components[0]
-    assert shifted.raws() == [frac_mul_int(g, k).raw for k in range(2, 7)]
 
 
 def test_dump_roundtrip(tmp_path, golden_sqrt2):

@@ -18,7 +18,8 @@ def test_public_surface():
     for name in equidist.__all__:
         assert hasattr(equidist, name), name
     for gone in ("pair_cancellation_report", "PairRecord",
-                 "PairCancellationReport", "resolve_alpha"):
+                 "PairCancellationReport", "resolve_alpha", "WindowShift",
+                 "oscillated_discrepancy"):
         assert not hasattr(equidist, gone), gone
     assert alpha_from_specs(["0.25,0.5"], 2) \
         == alpha_from_specs(["0.25", "0.5"], 2)
